@@ -48,7 +48,18 @@ let key_arg =
 let msg_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MESSAGE" ~doc:"Message string, or @FILE to read a file.")
 
-let d_arg = Arg.(value & opt int 4 & info [ "d" ] ~doc:"W-OTS+ depth (power of two).")
+(* W-OTS+ depth: rejected here with a usage error rather than by
+   Params.Wots.make's Invalid_argument deep inside a command. *)
+let depth =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok d when d >= 2 && d land (d - 1) = 0 -> Ok d
+    | Ok d -> Error (`Msg (Printf.sprintf "W-OTS+ depth %d is not a power of two >= 2" d))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"D" (parse, Format.pp_print_int)
+
+let d_arg = Arg.(value & opt depth 4 & info [ "d" ] ~doc:"W-OTS+ depth (power of two >= 2).")
 let batch_arg = Arg.(value & opt int 16 & info [ "batch" ] ~doc:"EdDSA batch size (power of two).")
 
 let load_msg m = if String.length m > 0 && m.[0] = '@' then read_file (String.sub m 1 (String.length m - 1)) else m

@@ -58,14 +58,11 @@ let string_of_state (st : state) =
 
 let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
 
-let round (st : state) ~rc : state =
-  let rck = state_of_string rc 0 in
-  Array.init 4 (fun c ->
-      t0.(byte st 0 c)
-      lxor t1.(byte st 1 ((c + 1) mod 4))
-      lxor t2.(byte st 2 ((c + 2) mod 4))
-      lxor t3.(byte st 3 ((c + 3) mod 4))
-      lxor rck.(c))
+let[@inline] column a b c d =
+  Array.unsafe_get t0 ((a lsr 24) land 0xff)
+  lxor Array.unsafe_get t1 ((b lsr 16) land 0xff)
+  lxor Array.unsafe_get t2 ((c lsr 8) land 0xff)
+  lxor Array.unsafe_get t3 (d land 0xff)
 
 let round_naive (st : state) ~rc : state =
   (* SubBytes *)

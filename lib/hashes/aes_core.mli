@@ -22,10 +22,17 @@ val state_of_string : string -> int -> state
 
 val string_of_state : state -> string
 
-val round : state -> rc:string -> state
-(** One AES round: SubBytes, ShiftRows, MixColumns, then XOR with the
-    16-byte round constant [rc]. Implemented with fused T-tables. *)
+val column : int -> int -> int -> int -> int
+(** [column a b c d] is one output column of SubBytes, ShiftRows and
+    MixColumns, before the round-key XOR, computed with fused T-tables:
+    row 0 is taken from column word [a], row 1 from [b], row 2 from [c]
+    and row 3 from [d], each as the byte at that row of a 32-bit
+    column word (higher bits are ignored). Column [c] of a
+    round over state [s] is
+    [column s.(c) s.((c+1) mod 4) s.((c+2) mod 4) s.((c+3) mod 4)]; the
+    caller keeps the four words in locals, so a round allocates
+    nothing. *)
 
 val round_naive : state -> rc:string -> state
 (** Reference implementation applying the four steps separately; used by
-    the test suite to validate [round]. *)
+    the test suite to validate [column]. *)

@@ -14,147 +14,156 @@ let derive_key_material = 64
 let iv = Sha2_constants.h256 (* BLAKE3 IV = SHA-256 IV *)
 let msg_permutation = [| 2; 6; 3; 10; 7; 0; 4; 13; 1; 11; 12; 5; 9; 14; 15; 8 |]
 
-let g v a b c d mx my =
-  v.(a) <- (v.(a) + v.(b) + mx) land mask32;
-  v.(d) <- rotr (v.(d) lxor v.(a)) 16;
-  v.(c) <- (v.(c) + v.(d)) land mask32;
-  v.(b) <- rotr (v.(b) lxor v.(c)) 12;
-  v.(a) <- (v.(a) + v.(b) + my) land mask32;
-  v.(d) <- rotr (v.(d) lxor v.(a)) 8;
-  v.(c) <- (v.(c) + v.(d)) land mask32;
-  v.(b) <- rotr (v.(b) lxor v.(c)) 7
-
-let round v m =
-  (* columns *)
-  g v 0 4 8 12 m.(0) m.(1);
-  g v 1 5 9 13 m.(2) m.(3);
-  g v 2 6 10 14 m.(4) m.(5);
-  g v 3 7 11 15 m.(6) m.(7);
-  (* diagonals *)
-  g v 0 5 10 15 m.(8) m.(9);
-  g v 1 6 11 12 m.(10) m.(11);
-  g v 2 7 8 13 m.(12) m.(13);
-  g v 3 4 9 14 m.(14) m.(15)
-
-let permute m =
-  let orig = Array.copy m in
+(* Round r reads message word [schedule.(16r + i)] where the
+   specification permutes the block by [msg_permutation] between rounds,
+   so the block is never copied or moved. *)
+let schedule =
+  let s = Array.make (7 * 16) 0 in
   for i = 0 to 15 do
-    m.(i) <- orig.(msg_permutation.(i))
+    s.(i) <- i
   done;
-  ()
+  for r = 1 to 6 do
+    for i = 0 to 15 do
+      s.((16 * r) + i) <- s.((16 * (r - 1)) + msg_permutation.(i))
+    done
+  done;
+  s
 
-(* compress returns the full 16-word state output. *)
-let compress ~cv ~block_words ~counter ~block_len ~flags =
-  let v = Array.make 16 0 in
+(* [v] is always a 16-word state and [m] a 16-word block, and [g] is
+   inlined at constant indices, so the accesses need no bounds checks. *)
+let[@inline] get (v : int array) i = Array.unsafe_get v i
+let[@inline] set (v : int array) i x = Array.unsafe_set v i x
+
+let[@inline] g v a b c d mx my =
+  set v a ((get v a + get v b + mx) land mask32);
+  set v d (rotr (get v d lxor get v a) 16);
+  set v c ((get v c + get v d) land mask32);
+  set v b (rotr (get v b lxor get v c) 12);
+  set v a ((get v a + get v b + my) land mask32);
+  set v d (rotr (get v d lxor get v a) 8);
+  set v c ((get v c + get v d) land mask32);
+  set v b (rotr (get v b lxor get v c) 7)
+
+(* Word [i] of round [r]'s message order ([o] = 16r). *)
+let[@inline] msg_word m o i = get m (get schedule (o + i))
+
+let round v m r =
+  let o = 16 * r in
+  (* columns *)
+  g v 0 4 8 12 (msg_word m o 0) (msg_word m o 1);
+  g v 1 5 9 13 (msg_word m o 2) (msg_word m o 3);
+  g v 2 6 10 14 (msg_word m o 4) (msg_word m o 5);
+  g v 3 7 11 15 (msg_word m o 6) (msg_word m o 7);
+  (* diagonals *)
+  g v 0 5 10 15 (msg_word m o 8) (msg_word m o 9);
+  g v 1 6 11 12 (msg_word m o 10) (msg_word m o 11);
+  g v 2 7 8 13 (msg_word m o 12) (msg_word m o 13);
+  g v 3 4 9 14 (msg_word m o 14) (msg_word m o 15)
+
+(* Compress message block [m] (16 words, left unchanged) under chaining
+   value [cv], leaving the full 16-word output in [v]. Allocates
+   nothing: [v] is the caller's scratch state, reused across calls. *)
+let compress v ~cv ~m ~counter ~block_len ~flags =
   Array.blit cv 0 v 0 8;
   Array.blit iv 0 v 8 4;
-  v.(12) <- Int64.to_int (Int64.logand counter 0xffffffffL);
-  v.(13) <- Int64.to_int (Int64.logand (Int64.shift_right_logical counter 32) 0xffffffffL);
+  v.(12) <- counter land mask32;
+  v.(13) <- (counter lsr 32) land mask32;
   v.(14) <- block_len;
   v.(15) <- flags;
-  let m = Array.copy block_words in
   for r = 0 to 6 do
-    round v m;
-    if r < 6 then permute m
+    round v m r
   done;
   for i = 0 to 7 do
     v.(i) <- v.(i) lxor v.(i + 8);
     v.(i + 8) <- v.(i + 8) lxor cv.(i)
-  done;
-  v
+  done
 
-let words_of_block s off len =
-  let m = Array.make 16 0 in
+(* Load the [len] (at most 64) bytes of [s] at [off] into [m] as
+   little-endian words, zero-padded. *)
+let load_block m s off len =
   for i = 0 to 15 do
     let w = ref 0 in
     for j = 3 downto 0 do
-      let idx = off + (4 * i) + j in
-      w := (!w lsl 8) lor (if (4 * i) + j < len then Char.code s.[idx] else 0)
+      let k = (4 * i) + j in
+      w := (!w lsl 8) lor if k < len then Char.code s.[off + k] else 0
     done;
     m.(i) <- !w
-  done;
-  m
+  done
 
 (* An "output node": the final compression input of a chunk or parent,
    kept uncompressed so the ROOT flag and output counter can be applied
    when it turns out to be the root (spec §2.6). *)
-type output = { cv : int array; block_words : int array; counter : int64; block_len : int; flags : int }
+type output = { cv : int array; m : int array; counter : int; block_len : int; flags : int }
 
-let chaining_value (o : output) =
-  let v =
-    compress ~cv:o.cv ~block_words:o.block_words ~counter:o.counter ~block_len:o.block_len
-      ~flags:o.flags
-  in
+let chaining_value v (o : output) =
+  compress v ~cv:o.cv ~m:o.m ~counter:o.counter ~block_len:o.block_len ~flags:o.flags;
   Array.sub v 0 8
 
-let root_output_bytes (o : output) length =
+let root_output_bytes v (o : output) length =
   let out = Bytes.create length in
-  let pos = ref 0 and t = ref 0L in
+  let pos = ref 0 and t = ref 0 in
   while !pos < length do
-    let v =
-      compress ~cv:o.cv ~block_words:o.block_words ~counter:!t ~block_len:o.block_len
-        ~flags:(o.flags lor root)
-    in
+    compress v ~cv:o.cv ~m:o.m ~counter:!t ~block_len:o.block_len ~flags:(o.flags lor root);
     let take = min 64 (length - !pos) in
     for i = 0 to take - 1 do
-      Bytes.set out (!pos + i) (Char.chr ((v.(i / 4) lsr (8 * (i mod 4))) land 0xff))
+      Bytes.set out (!pos + i) (Char.unsafe_chr ((v.(i / 4) lsr (8 * (i mod 4))) land 0xff))
     done;
     pos := !pos + take;
-    t := Int64.add !t 1L
+    incr t
   done;
   Bytes.unsafe_to_string out
 
 (* Compress a whole 1024-byte-max chunk down to its output node. *)
-let chunk_output ~key_words ~flags ~chunk_counter input off len =
+let chunk_output v ~key_words ~flags ~chunk_counter input off len =
   let nblocks = max 1 ((len + 63) / 64) in
-  let cv = ref (Array.copy key_words) in
-  let last = ref None in
-  for b = 0 to nblocks - 1 do
-    let boff = off + (64 * b) in
-    let blen = min 64 (len - (64 * b)) in
-    let bflags =
-      flags
-      lor (if b = 0 then chunk_start else 0)
-      lor if b = nblocks - 1 then chunk_end else 0
-    in
-    let block_words = words_of_block input boff blen in
-    if b = nblocks - 1 then
-      last := Some { cv = !cv; block_words; counter = chunk_counter; block_len = blen; flags = bflags }
-    else
-      cv :=
-        Array.sub
-          (compress ~cv:!cv ~block_words ~counter:chunk_counter ~block_len:blen ~flags:bflags)
-          0 8
+  let cv = Array.copy key_words and m = Array.make 16 0 in
+  for b = 0 to nblocks - 2 do
+    load_block m input (off + (64 * b)) 64;
+    compress v ~cv ~m ~counter:chunk_counter ~block_len:64
+      ~flags:(flags lor if b = 0 then chunk_start else 0);
+    Array.blit v 0 cv 0 8
   done;
-  match !last with Some o -> o | None -> assert false
+  let last = nblocks - 1 in
+  let block_len = len - (64 * last) in
+  load_block m input (off + (64 * last)) block_len;
+  {
+    cv;
+    m;
+    counter = chunk_counter;
+    block_len;
+    flags = flags lor (if last = 0 then chunk_start else 0) lor chunk_end;
+  }
 
 let parent_output ~key_words ~flags left_cv right_cv =
-  let block_words = Array.make 16 0 in
-  Array.blit left_cv 0 block_words 0 8;
-  Array.blit right_cv 0 block_words 8 8;
-  { cv = Array.copy key_words; block_words; counter = 0L; block_len = 64; flags = flags lor parent }
+  let m = Array.make 16 0 in
+  Array.blit left_cv 0 m 0 8;
+  Array.blit right_cv 0 m 8 8;
+  { cv = key_words; m; counter = 0; block_len = 64; flags = flags lor parent }
 
 (* Largest power of two strictly less than n (n >= 2). *)
 let left_chunks n =
   let rec go p = if 2 * p >= n then p else go (2 * p) in
   go 1
 
-let rec subtree_output ~key_words ~flags input off len ~chunk_counter =
-  if len <= 1024 then chunk_output ~key_words ~flags ~chunk_counter input off len
+let rec subtree_output v ~key_words ~flags input off len ~chunk_counter =
+  if len <= 1024 then chunk_output v ~key_words ~flags ~chunk_counter input off len
   else begin
     let chunks = (len + 1023) / 1024 in
     let left = left_chunks chunks * 1024 in
-    let l = subtree_output ~key_words ~flags input off left ~chunk_counter in
+    let l = subtree_output v ~key_words ~flags input off left ~chunk_counter in
     let r =
-      subtree_output ~key_words ~flags input (off + left) (len - left)
-        ~chunk_counter:(Int64.add chunk_counter (Int64.of_int (left / 1024)))
+      subtree_output v ~key_words ~flags input (off + left) (len - left)
+        ~chunk_counter:(chunk_counter + (left / 1024))
     in
-    parent_output ~key_words ~flags (chaining_value l) (chaining_value r)
+    parent_output ~key_words ~flags (chaining_value v l) (chaining_value v r)
   end
 
+(* One 16-word state per call: every compression of the hash reuses it,
+   and concurrent calls on other domains have their own. *)
 let hash_internal ~key_words ~flags ~length input =
-  let o = subtree_output ~key_words ~flags input 0 (String.length input) ~chunk_counter:0L in
-  root_output_bytes o length
+  let v = Array.make 16 0 in
+  let o = subtree_output v ~key_words ~flags input 0 (String.length input) ~chunk_counter:0 in
+  root_output_bytes v o length
 
 let key_words_of_string key =
   if String.length key <> 32 then invalid_arg "Blake3: key must be 32 bytes";
@@ -178,8 +187,8 @@ let hex msg = Dsig_util.Bytesutil.to_hex (digest msg)
 
 module Incremental = struct
   type chunk_state = {
-    mutable cv : int array;
-    mutable chunk_counter : int64;
+    cv : int array;
+    chunk_counter : int;
     block : Bytes.t; (* 64-byte block buffer *)
     mutable block_len : int;
     mutable blocks_compressed : int;
@@ -188,9 +197,11 @@ module Incremental = struct
   type t = {
     key_words : int array;
     base_flags : int;
+    v : int array; (* compression state *)
+    m : int array; (* message block *)
     mutable chunk : chunk_state;
     mutable cv_stack : int array list; (* subtree CVs, deepest first *)
-    mutable total_chunks : int64;
+    mutable total_chunks : int;
     mutable finalized : bool;
   }
 
@@ -210,9 +221,11 @@ module Incremental = struct
     {
       key_words;
       base_flags;
-      chunk = fresh_chunk key_words 0L;
+      v = Array.make 16 0;
+      m = Array.make 16 0;
+      chunk = fresh_chunk key_words 0;
       cv_stack = [];
-      total_chunks = 0L;
+      total_chunks = 0;
       finalized = false;
     }
 
@@ -221,41 +234,42 @@ module Incremental = struct
   (* compress the buffered (full) block as a non-final block *)
   let compress_block t =
     let c = t.chunk in
-    let words = words_of_block (Bytes.unsafe_to_string c.block) 0 64 in
-    c.cv <-
-      Array.sub
-        (compress ~cv:c.cv ~block_words:words ~counter:c.chunk_counter ~block_len:64
-           ~flags:(t.base_flags lor chunk_start_flag c))
-        0 8;
+    load_block t.m (Bytes.unsafe_to_string c.block) 0 64;
+    compress t.v ~cv:c.cv ~m:t.m ~counter:c.chunk_counter ~block_len:64
+      ~flags:(t.base_flags lor chunk_start_flag c);
+    Array.blit t.v 0 c.cv 0 8;
     c.blocks_compressed <- c.blocks_compressed + 1;
     c.block_len <- 0
 
-  (* the completed chunk's chaining value (with CHUNK_END) *)
-  let chunk_cv t =
+  (* the pending chunk's output node (with CHUNK_END) *)
+  let chunk_node t =
     let c = t.chunk in
-    let words = words_of_block (Bytes.unsafe_to_string c.block) 0 c.block_len in
-    Array.sub
-      (compress ~cv:c.cv ~block_words:words ~counter:c.chunk_counter ~block_len:c.block_len
-         ~flags:(t.base_flags lor chunk_start_flag c lor chunk_end))
-      0 8
+    let m = Array.make 16 0 in
+    load_block m (Bytes.unsafe_to_string c.block) 0 c.block_len;
+    {
+      cv = c.cv;
+      m;
+      counter = c.chunk_counter;
+      block_len = c.block_len;
+      flags = t.base_flags lor chunk_start_flag c lor chunk_end;
+    }
 
   let parent_cv t left right =
-    let o = parent_output ~key_words:t.key_words ~flags:t.base_flags left right in
-    chaining_value o
+    chaining_value t.v (parent_output ~key_words:t.key_words ~flags:t.base_flags left right)
 
   (* merge a completed chunk's CV into the stack: one merge per trailing
      zero bit of the completed-chunk count *)
   let add_chunk_cv t cv =
-    t.total_chunks <- Int64.add t.total_chunks 1L;
+    t.total_chunks <- t.total_chunks + 1;
     let new_cv = ref cv in
     let n = ref t.total_chunks in
-    while Int64.logand !n 1L = 0L do
+    while !n land 1 = 0 do
       (match t.cv_stack with
       | top :: rest ->
           new_cv := parent_cv t top !new_cv;
           t.cv_stack <- rest
       | [] -> assert false);
-      n := Int64.shift_right_logical !n 1
+      n := !n lsr 1
     done;
     t.cv_stack <- !new_cv :: t.cv_stack
 
@@ -268,9 +282,8 @@ module Incremental = struct
       (* chunk full (16 blocks compressed would be 1024 bytes): roll over
          only when more input exists, so the final chunk stays pending *)
       if c.blocks_compressed = 15 && c.block_len = 64 then begin
-        let cv = chunk_cv t in
-        add_chunk_cv t cv;
-        t.chunk <- fresh_chunk t.key_words (Int64.add c.chunk_counter 1L)
+        add_chunk_cv t (chaining_value t.v (chunk_node t));
+        t.chunk <- fresh_chunk t.key_words (c.chunk_counter + 1)
       end
       else begin
         if c.block_len = 64 then compress_block t;
@@ -284,21 +297,11 @@ module Incremental = struct
   let finalize ?(length = 32) t =
     if t.finalized then invalid_arg "Blake3.Incremental.finalize: already finalized";
     t.finalized <- true;
-    let c = t.chunk in
-    let words = words_of_block (Bytes.unsafe_to_string c.block) 0 c.block_len in
     let o =
-      ref
-        {
-          cv = c.cv;
-          block_words = words;
-          counter = c.chunk_counter;
-          block_len = c.block_len;
-          flags = t.base_flags lor chunk_start_flag c lor chunk_end;
-        }
+      List.fold_left
+        (fun o left ->
+          parent_output ~key_words:t.key_words ~flags:t.base_flags left (chaining_value t.v o))
+        (chunk_node t) t.cv_stack
     in
-    List.iter
-      (fun left ->
-        o := parent_output ~key_words:t.key_words ~flags:t.base_flags left (chaining_value !o))
-      t.cv_stack;
-    root_output_bytes !o length
+    root_output_bytes t.v o length
 end

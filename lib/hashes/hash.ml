@@ -12,17 +12,24 @@ let of_string = function
 
 (* Length-tagged zero padding: pad [s] to [n] bytes, encoding the
    original length in the final byte so distinct short inputs stay
-   distinct. Requires [String.length s < n] and [n - 1 <= 255]. *)
+   distinct. Requires [String.length s < n] and [n - 1 <= 255].
+   [Haraka.haraka256_into] applies the same padding to inputs shorter
+   than 32 bytes as it loads them. *)
 let pad_tagged s n =
   let len = String.length s in
   assert (len < n && n - 1 <= 255);
   s ^ String.make (n - 1 - len) '\x00' ^ String.make 1 (Char.chr len)
 
+(* Haraka-256 of an input of at most 32 bytes, [length] <= 32 bytes out. *)
+let haraka_short s length =
+  let out = Bytes.create length in
+  Haraka.haraka256_into (Bytes.unsafe_of_string s) out;
+  Bytes.unsafe_to_string out
+
 let haraka_any s =
   let len = String.length s in
-  if len = 32 then Haraka.haraka256 s
+  if len <= 32 then haraka_short s 32
   else if len = 64 then Haraka.haraka512 s
-  else if len < 32 then Haraka.haraka256 (pad_tagged s 32)
   else if len < 64 then Haraka.haraka512 (pad_tagged s 64)
   else begin
     (* Merkle–Damgård fold over 32-byte blocks through the 64-byte
@@ -45,6 +52,7 @@ let base_digest algo s =
 let digest algo ?(length = 32) s =
   match algo with
   | Blake3 -> Blake3.digest ~length s
+  | Haraka when String.length s <= 32 && length <= 32 -> haraka_short s length
   | Sha256 | Haraka ->
       let d = base_digest algo s in
       if length <= 32 then String.sub d 0 length
@@ -58,5 +66,12 @@ let digest algo ?(length = 32) s =
         done;
         Buffer.sub buf 0 length
       end
+
+let digest_into algo src dst =
+  let length = Bytes.length dst in
+  match algo with
+  | Haraka when Bytes.length src <= 32 && length <= 32 -> Haraka.haraka256_into src dst
+  | Sha256 | Blake3 | Haraka ->
+      Bytes.blit_string (digest algo ~length (Bytes.to_string src)) 0 dst 0 length
 
 let digest2 algo ?(length = 32) a b = digest algo ~length (a ^ b)

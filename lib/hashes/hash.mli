@@ -19,6 +19,12 @@ val digest : algo -> ?length:int -> string -> string
     the native digest is produced in counter mode; shorter output is a
     truncation. *)
 
+val digest_into : algo -> Bytes.t -> Bytes.t -> unit
+(** [digest_into algo src dst] writes [digest algo ~length:(Bytes.length
+    dst)] of the contents of [src] into [dst]; [src] and [dst] may be the
+    same buffer. For Haraka with input and output of at most 32 bytes
+    (hash-chain steps) it allocates nothing. *)
+
 val digest2 : algo -> ?length:int -> string -> string -> string
 (** [digest2 algo a b] hashes the concatenation; a convenience that lets
     Haraka use its 64-byte permutation directly for two 32-byte inputs

@@ -4,17 +4,22 @@ let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 type ctx = {
   h : int array; (* 8 words *)
+  w : int array; (* 64-word message schedule, scratch of this context *)
   buf : Buffer.t; (* < 64 bytes pending *)
   mutable total : int; (* bytes fed so far *)
   mutable finalized : bool;
 }
 
 let init () =
-  { h = Array.copy Sha2_constants.h256; buf = Buffer.create 64; total = 0; finalized = false }
+  {
+    h = Array.copy Sha2_constants.h256;
+    w = Array.make 64 0;
+    buf = Buffer.create 64;
+    total = 0;
+    finalized = false;
+  }
 
-let w = Array.make 64 0 (* per-call scratch; module is not thread-safe by design *)
-
-let compress h block off =
+let compress h w block off =
   let k = Sha2_constants.k256 in
   for t = 0 to 15 do
     let base = off + (4 * t) in
@@ -64,7 +69,7 @@ let feed ctx s =
   let n = String.length data in
   let blocks = n / 64 in
   for i = 0 to blocks - 1 do
-    compress ctx.h data (i * 64)
+    compress ctx.h ctx.w data (i * 64)
   done;
   Buffer.clear ctx.buf;
   Buffer.add_substring ctx.buf data (blocks * 64) (n - (blocks * 64))

@@ -5,9 +5,7 @@ let ( ^^ ) = Int64.logxor
 let ( &&& ) = Int64.logand
 let ( +% ) = Int64.add
 
-let w = Array.make 80 0L
-
-let compress h block off =
+let compress h w block off =
   let k = Sha2_constants.k512 in
   for t = 0 to 15 do
     let base = off + (8 * t) in
@@ -50,7 +48,7 @@ let compress h block off =
   h.(7) <- h.(7) +% !hh
 
 let digest msg =
-  let h = Array.copy Sha2_constants.h512 in
+  let h = Array.copy Sha2_constants.h512 and w = Array.make 80 0L in
   let len = String.length msg in
   let bit_len = Int64.of_int (8 * len) in
   (* pad to a multiple of 128 bytes with 0x80, zeros, and a 128-bit length
@@ -68,7 +66,7 @@ let digest msg =
   let data = Buffer.contents padded in
   assert (String.length data mod 128 = 0);
   for i = 0 to (String.length data / 128) - 1 do
-    compress h data (i * 128)
+    compress h w data (i * 128)
   done;
   String.init 64 (fun i ->
       Char.chr

@@ -51,7 +51,9 @@ val recover_public_elements :
   string ->
   string array
 (** Complete the chains for message [msg]; if the signature is genuine
-    the result equals the signer's public elements. *)
+    the result equals the signer's public elements. The d−1 chain masks
+    are derived once per call and each chain advances in place.
+    @raise Invalid_argument on a wrong element count or length. *)
 
 val recover_public_key_digest :
   ?hash:Dsig_hashes.Hash.algo ->

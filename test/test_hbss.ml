@@ -224,6 +224,52 @@ let test_lamport () =
   Alcotest.check_raises "reuse" (Invalid_argument "Lamport.sign: one-time key already used")
     (fun () -> ignore (Lamport.sign kp "again"))
 
+let test_wots_pk_vectors () =
+  (* public-key digests recorded from the per-step-mask, string-copying
+     chain that preceded the in-place one *)
+  List.iter
+    (fun (d, hash, want) ->
+      let kp =
+        Wots.generate ~hash (Params.Wots.make ~d ()) ~seed:(String.init 32 (fun i -> Char.chr (i + 1)))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "d=%d %s" d (Hash.to_string hash))
+        want
+        (Dsig_util.Bytesutil.to_hex (Wots.public_key_digest kp)))
+    [
+      (4, Hash.Haraka, "7d34c7b09034816b819c60a202da69a451a971a1d6602b6feea6378657194290");
+      (8, Hash.Haraka, "eaa0739af42d19f0750d1ec88882fcea9a801c2c4b385e1c9e5580302964d242");
+      (16, Hash.Haraka, "140e970380bc0b614d7aabb6848d8edb4854938657b160f801df91a0dd9c1e33");
+      (4, Hash.Blake3, "f72a0de28256a0442e4e9b271bc27c310eeea29e51ef04ee71d7ed165fda56c0");
+      (4, Hash.Sha256, "221ab7a21a9cba8d0cb48a6603d125db0a300876c1b9b6916088aad7e9a04168");
+    ]
+
+(* Reference chain completion: base-d digits of the salted digest plus
+   checksum, then one mask derivation and one copying XOR per step, as
+   the scheme is written down. *)
+let naive_recover ~hash (p : Params.Wots.t) ~public_seed (s : Wots.signature) msg =
+  let open Params.Wots in
+  let width = Params.log2_exact p.d in
+  let digest = Wots.message_digest p ~public_seed ~nonce:s.Wots.nonce msg in
+  let msg_digits = Bits.digits digest ~width ~count:p.l1 in
+  let checksum = Array.fold_left (fun acc m -> acc + (p.d - 1 - m)) 0 msg_digits in
+  let digits =
+    Array.append msg_digits
+      (Array.init p.l2 (fun i -> (checksum lsr (width * (p.l2 - 1 - i))) land (p.d - 1)))
+  in
+  let mask j =
+    Dsig_hashes.Blake3.keyed ~key:public_seed ~length:p.n
+      ("wots-mask" ^ Dsig_util.Bytesutil.u32_le (Int32.of_int j))
+  in
+  Array.mapi
+    (fun i e ->
+      let v = ref e in
+      for j = digits.(i) + 1 to p.d - 1 do
+        v := Hash.digest hash ~length:p.n (Dsig_util.Bytesutil.xor !v (mask j))
+      done;
+      !v)
+    s.Wots.elements
+
 (* --- property tests --- *)
 
 let qcheck_tests =
@@ -271,6 +317,37 @@ let qcheck_tests =
         not
           (Wots.verify wots_p ~public_seed:(Wots.public_seed kp)
              ~pk_digest:(Wots.public_key_digest kp) s forged_msg));
+    Test.make ~name:"wots recover = per-step-mask reference" ~count:40
+      (triple (oneofl [ 2; 4; 8; 16 ]) (oneofl Hash.all) (pair msg_gen (int_range 0 10_000)))
+      (fun (d, hash, (msg, salt)) ->
+        (* arbitrary elements as well as genuine ones: every digit and
+           chain value is exercised *)
+        let p = Params.Wots.make ~d () in
+        let rng = Dsig_util.Rng.create (Int64.of_int salt) in
+        let kp = Wots.generate ~hash p ~seed:(Dsig_util.Rng.bytes rng 32) in
+        let public_seed = Wots.public_seed kp in
+        let genuine = Wots.sign kp ~nonce:(Dsig_util.Rng.bytes rng 16) msg in
+        let arbitrary =
+          {
+            Wots.nonce = Dsig_util.Rng.bytes rng 16;
+            elements = Array.init p.Params.Wots.l (fun _ -> Dsig_util.Rng.bytes rng p.Params.Wots.n);
+          }
+        in
+        List.for_all
+          (fun s ->
+            Wots.recover_public_elements ~hash p ~public_seed s msg
+            = naive_recover ~hash p ~public_seed s msg)
+          [ genuine; arbitrary ]
+        && Wots.recover_public_elements ~hash p ~public_seed genuine msg
+           = Wots.public_elements kp);
+    Test.make ~name:"wots uncached sign = cached sign" ~count:30
+      (triple (oneofl [ 2; 4; 8; 16 ]) (oneofl Hash.all) (pair msg_gen (int_range 0 10_000)))
+      (fun (d, hash, (msg, salt)) ->
+        let p = Params.Wots.make ~d () in
+        let rng = Dsig_util.Rng.create (Int64.of_int salt) in
+        let seed = Dsig_util.Rng.bytes rng 32 and nonce = Dsig_util.Rng.bytes rng 16 in
+        Wots.sign (Wots.generate ~hash ~cache_chains:false p ~seed) ~nonce msg
+        = Wots.sign (Wots.generate ~hash ~cache_chains:true p ~seed) ~nonce msg);
     Test.make ~name:"hors sign/verify all k" ~count:12
       (pair (oneofl [ 16; 32; 64 ]) msg_gen)
       (fun (k, msg) ->
@@ -313,6 +390,7 @@ let suites =
         Alcotest.test_case "sizes" `Quick test_wots_sizes;
         Alcotest.test_case "cross-hash rejected" `Quick test_wots_cross_hash_rejects;
         Alcotest.test_case "cross-params rejected" `Quick test_wots_cross_params_rejects;
+        Alcotest.test_case "public-key vectors" `Quick test_wots_pk_vectors;
       ] );
     ( "hbss.hors",
       [

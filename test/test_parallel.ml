@@ -110,6 +110,38 @@ let test_pool_determinism () =
       let ann x = List.map (fun (_, a) -> Batch.encode_announcement a) (Signer.drain_outbox x) in
       Alcotest.(check (list string)) "announcements identical" (ann s_seq) (ann s_par))
 
+(* --- hashing on two domains at once: every hash keeps its scratch
+   state call-local, so concurrent results equal sequential ones --- *)
+
+let test_hash_domain_safety () =
+  let module Hash = Dsig_hashes.Hash in
+  let module Wots = Dsig_hbss.Wots in
+  let rng = Rng.create 11L in
+  let inputs = Array.init 10_000 (fun i -> Rng.bytes rng (i mod 33)) in
+  let hashes x =
+    List.map (fun algo -> Hash.digest algo ~length:18 x) Hash.all
+    @ [ Dsig_hashes.Blake3.digest ~length:18 (x ^ x ^ x); Dsig_hashes.Sha512.digest x ]
+  in
+  let p = Dsig_hbss.Params.Wots.make ~d:4 () in
+  let keys = Array.init 64 (fun _ -> (Rng.bytes rng 32, Rng.bytes rng 16)) in
+  let key (seed, nonce) =
+    let kp = Wots.generate p ~seed in
+    let s = Wots.sign kp ~nonce "domain safety" in
+    ( Wots.public_key_digest kp,
+      Wots.recover_public_key_digest p ~public_seed:(Wots.public_seed kp) s "domain safety" )
+  in
+  let seq_h = Array.map hashes inputs and seq_k = Array.map key keys in
+  let pool = Domain_pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let par_h = Domain_pool.parallel_map pool ~f:(fun ~shard:_ x -> hashes x) inputs in
+      let par_k = Domain_pool.parallel_map pool ~f:(fun ~shard:_ k -> key k) keys in
+      Alcotest.(check bool) "short-input hashes identical" true (seq_h = par_h);
+      Alcotest.(check bool) "W-OTS+ keys identical" true (seq_k = par_k);
+      Alcotest.(check bool) "recovered keys match" true
+        (Array.for_all (fun (pk, recovered) -> pk = recovered) par_k))
+
 (* --- the multi-domain stress: N domains hammer one verifier while
    another scrapes telemetry; admits and counters must balance --- *)
 
@@ -329,6 +361,7 @@ let () =
           Alcotest.test_case "msq concurrent producers" `Quick test_msq_concurrent;
           Alcotest.test_case "parallel_map" `Quick test_pool_map;
           Alcotest.test_case "pooled signing deterministic" `Quick test_pool_determinism;
+          Alcotest.test_case "hashing domain-safe" `Quick test_hash_domain_safety;
         ] );
       ( "stress",
         [
